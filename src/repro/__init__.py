@@ -7,8 +7,7 @@ emagister.com deployment:
 
 * :mod:`repro.core` — Smart User Models, the Four-Branch Model of
   Emotional Intelligence (Table 1), the Gradual EIT, the three-stage
-  Initialization/Advice/Update methodology and the emotion-aware
-  recommendation/selection functions;
+  Initialization/Advice/Update methodology and the Fig. 4 loop;
 * :mod:`repro.agents` — the five-agent SPA architecture of Fig. 3;
 * :mod:`repro.lifelog` / :mod:`repro.db` — the LifeLog substrate and the
   embedded columnar database under it;
@@ -55,7 +54,6 @@ from repro.campaigns.delivery import EngineConfig
 from repro.core import (
     ColumnarSumStore,
     EmotionalState,
-    EmotionAwareRecommender,
     FourBranchProfile,
     GradualEIT,
     QuestionBank,
@@ -79,7 +77,6 @@ __version__ = "1.2.0"
 
 __all__ = [
     "ColumnarSumStore",
-    "EmotionAwareRecommender",
     "EmotionalState",
     "EngineConfig",
     "FourBranchProfile",

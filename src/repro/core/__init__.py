@@ -13,8 +13,6 @@ This package implements Sections 2–3 of the paper:
   :mod:`repro.core.gradual_eit`, :mod:`repro.core.advice` and
   :mod:`repro.core.reward`,
 * sensibility weighting (:mod:`repro.core.sensibility`),
-* the emotion-aware recommendation and selection functions
-  (:mod:`repro.core.recommender`),
 * the Fig. 4 iterative loop (:mod:`repro.core.pipeline`), and
 * the Human Values Scale of SPA component 5 (:mod:`repro.core.human_values`).
 """
@@ -37,7 +35,6 @@ from repro.core.gradual_eit import (
 )
 from repro.core.human_values import HumanValuesScale
 from repro.core.pipeline import EmotionalContextPipeline, TouchResult
-from repro.core.recommender import EmotionAwareRecommender, RankedItem
 from repro.core.reward import ReinforcementPolicy
 from repro.core.sensibility import SensibilityAnalyzer
 from repro.core.sum_model import (
@@ -71,7 +68,6 @@ __all__ = [
     "EITQuestion",
     "EMOTION_CATALOG",
     "EMOTION_NAMES",
-    "EmotionAwareRecommender",
     "EmotionalAttribute",
     "EmotionalContextPipeline",
     "EmotionalState",
@@ -82,7 +78,6 @@ __all__ = [
     "POSITIVE_EMOTIONS",
     "PunishOp",
     "QuestionBank",
-    "RankedItem",
     "ReinforcementPolicy",
     "RewardOp",
     "SensibilityAnalyzer",

@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.sum_model import SumRepository, UnknownUserError
+from repro.core.sum_model import UnknownUserError, dumps_sums
 from repro.core.sum_store import (
     ColumnarSumStore,
     SumRowView,
@@ -508,8 +508,8 @@ class ShardedSumStore:
     # -- JSON import/export (SumRepository-compatible) ------------------------
 
     def dumps(self) -> str:
-        """Serialize to the exact :meth:`SumRepository.dumps` JSON format."""
-        return json.dumps([m.to_dict() for m in self], sort_keys=True)
+        """Serialize the whole store (see :func:`dumps_sums`)."""
+        return dumps_sums(self)
 
     @classmethod
     def loads(cls, payload: str, n_shards: int = 4) -> "ShardedSumStore":
@@ -518,18 +518,6 @@ class ShardedSumStore:
         for item in json.loads(payload):
             store.shard_for(item["user_id"])._ingest(item)
         return store
-
-    @classmethod
-    def from_repository(cls, repository, n_shards: int = 4) -> "ShardedSumStore":
-        """Partition any SUM collection (object/columnar/sharded)."""
-        store = cls(n_shards=n_shards)
-        for model in repository:
-            store.shard_for(model.user_id)._ingest(model.to_dict())
-        return store
-
-    def to_repository(self) -> SumRepository:
-        """Export to an object-backed :class:`SumRepository` (deep copy)."""
-        return SumRepository.loads(self.dumps())
 
     # -- generation-stamped persistence ---------------------------------------
 

@@ -226,6 +226,16 @@ class SmartUserModel:
         )
 
 
+def dumps_sums(models: Iterable[SmartUserModel]) -> str:
+    """The one SUM JSON serializer every backend's ``dumps`` calls.
+
+    Backends iterate their models in ascending user-id order, so equal
+    states serialize to byte-identical strings whatever the store; the
+    bit-equality oracles compare these strings directly.
+    """
+    return json.dumps([m.to_dict() for m in models], sort_keys=True)
+
+
 class SumRepository:
     """The SUM collection SPA maintains for the whole population."""
 
@@ -302,8 +312,8 @@ class SumRepository:
     # -- persistence -------------------------------------------------------
 
     def dumps(self) -> str:
-        """Serialize the whole repository to a JSON string."""
-        return json.dumps([m.to_dict() for m in self], sort_keys=True)
+        """Serialize the whole repository (see :func:`dumps_sums`)."""
+        return dumps_sums(self)
 
     @classmethod
     def loads(cls, payload: str) -> "SumRepository":

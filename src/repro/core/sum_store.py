@@ -34,9 +34,10 @@ double operations, just batched differently (the property suite in
 ``tests/properties/test_columnar_batch.py`` pins this down).
 
 Persistence is columnar too: :meth:`ColumnarSumStore.save` writes the
-population as ``.npz`` column pages through the :mod:`repro.db` Catalog,
-and :meth:`dumps`/:meth:`loads` keep the :class:`SumRepository` JSON
-format as a compatible import/export path.
+population as dense ``.npy`` column pages through the :mod:`repro.db`
+Catalog, which :meth:`ColumnarSumStore.load` copies or memory-maps.
+:meth:`dumps`/:meth:`loads` speak the :class:`SumRepository` JSON format
+through the shared :func:`~repro.core.sum_model.dumps_sums` serializer.
 """
 
 from __future__ import annotations
@@ -66,7 +67,12 @@ from repro.core.emotions import (
     clamp01,
 )
 from repro.core.four_branch import BRANCH_ORDER, Branch, FourBranchProfile
-from repro.core.sum_model import SmartUserModel, SumRepository, UnknownUserError
+from repro.core.sum_model import (
+    SmartUserModel,
+    SumRepository,
+    UnknownUserError,
+    dumps_sums,
+)
 from repro.core.updates import DecayOp, PunishOp, RewardOp
 
 _GROWTH_FACTOR = 2
@@ -1631,8 +1637,8 @@ class ColumnarSumStore:
     # -- JSON import/export (SumRepository-compatible) ----------------------
 
     def dumps(self) -> str:
-        """Serialize to the exact :meth:`SumRepository.dumps` JSON format."""
-        return json.dumps([m.to_dict() for m in self], sort_keys=True)
+        """Serialize the whole store (see :func:`dumps_sums`)."""
+        return dumps_sums(self)
 
     @classmethod
     def loads(cls, payload: str) -> "ColumnarSumStore":
@@ -1674,9 +1680,8 @@ class ColumnarSumStore:
         """Export to an object-backed :class:`SumRepository` (deep copy)."""
         return SumRepository.loads(self.dumps())
 
-    # -- Catalog persistence (.npz column pages) -----------------------------
+    # -- Catalog persistence (dense column pages) ----------------------------
 
-    _PRESENT_SUFFIX = "__present"
     _FAMILY_NAMES = ("emotional", "sensibility", "subjective", "evidence")
 
     def _named_families(self) -> tuple[tuple[str, _ColumnFamily], ...]:
@@ -1690,19 +1695,15 @@ class ColumnarSumStore:
         versions: Mapping[int, int] | None = None,
         global_version: int | None = None,
     ) -> Path:
-        """Persist through the :mod:`repro.db` Catalog, two layouts at once.
+        """Persist through the :mod:`repro.db` Catalog as dense pages.
 
-        * per-family ``.npz`` tables (the PR 3 interchange format: one
-          value + ``__present`` column per attribute), still readable by
-          any table consumer;
-        * dense ``.npy`` column pages per family (``<family>__values`` /
-          ``<family>__mask``) plus ``user_ids`` and ``ei`` — the serving
-          format :meth:`load` can memory-map read-only, so every replica
-          on a host shares one physical copy of the population.
-
-        Neither layout round-trips values through per-element Python
-        ``float()``/``int()`` lists anymore: columns are handed to the
-        catalog as numpy slices and bulk-cast.
+        Each family becomes two ``.npy`` column pages
+        (``<family>__values`` / ``<family>__mask``), next to the
+        ``user_ids`` and ``ei`` pages — the layout :meth:`load` can
+        memory-map read-only, so every replica on a host shares one
+        physical copy of the population.  The cold per-row state
+        (objective attributes, EIT question sets) goes to one ``users``
+        table of JSON strings.
 
         The refresh protocol's stamps ride in the catalog meta:
         ``generation`` (the checkpoint's monotonic counter, usually
@@ -1753,35 +1754,6 @@ class ColumnarSumStore:
             )
         )
 
-        ei_schema = Schema(
-            [Column("user_id", ColumnType.INT64)]
-            + [Column(b.value, ColumnType.FLOAT64) for b in BRANCH_ORDER]
-        )
-        ei_columns: dict[str, Sequence[Any]] = {"user_id": ids}
-        for j, branch in enumerate(BRANCH_ORDER):
-            ei_columns[branch.value] = self._ei[live, j]
-        catalog.register(Table.from_columns(ei_schema, ei_columns, name="ei"))
-
-        for table_name, family in self._named_families():
-            ctype = (
-                ColumnType.INT64 if family is self._evidence
-                else ColumnType.FLOAT64
-            )
-            columns: dict[str, Sequence[Any]] = {"user_id": ids}
-            schema_columns = [Column("user_id", ColumnType.INT64)]
-            for name in family.order:
-                j = family.index[name]
-                schema_columns.append(Column(name, ctype))
-                schema_columns.append(
-                    Column(name + self._PRESENT_SUFFIX, ColumnType.BOOL)
-                )
-                columns[name] = family.values[live, j]
-                columns[name + self._PRESENT_SUFFIX] = family.mask[live, j]
-            catalog.register(
-                Table.from_columns(Schema(schema_columns), columns, name=table_name)
-            )
-
-        # -- dense pages: the mmap-able serving layout ---------------------
         catalog.put_array("user_ids", ids.astype(np.int64, copy=False))
         catalog.put_array("ei", self._ei[live])
         orders: dict[str, list[str]] = {}
@@ -1816,9 +1788,9 @@ class ColumnarSumStore:
         With ``mmap=True`` the dense column pages are memory-mapped
         read-only instead of copied: serving replicas on one host share a
         single page-cache copy of the population, and every write path on
-        the returned store raises (``readonly`` is ``True``).  Requires
-        the dense pages — directories written before they existed load
-        copy-wise from the ``.npz`` tables and cannot be mmapped.
+        the returned store raises (``readonly`` is ``True``).  A
+        directory without the dense pages raises
+        :class:`~repro.db.storage.StorageError` for both kinds of load.
         """
         from repro.db.catalog import Catalog
         from repro.db.storage import StorageError
@@ -1826,18 +1798,10 @@ class ColumnarSumStore:
         catalog = Catalog.load(directory, mmap_arrays=mmap)
         meta = catalog.meta.get("sum_store")
         if meta is None or "user_ids" not in catalog.arrays:
-            if mmap:
-                raise StorageError(
-                    f"{directory} has no dense column pages to mmap; "
-                    "re-save the store with this version first"
-                )
-            return cls._load_from_tables(catalog)
-        return cls._load_from_pages(catalog, meta, mmap=mmap)
-
-    @classmethod
-    def _load_from_pages(
-        cls, catalog: Any, meta: dict[str, Any], mmap: bool
-    ) -> "ColumnarSumStore":
+            raise StorageError(
+                f"{directory} has no dense column pages; "
+                "re-save the store with this version first"
+            )
         ids = catalog.array("user_ids")
         n = len(ids)
         users = catalog.get("users")
@@ -1915,48 +1879,4 @@ class ColumnarSumStore:
                     f"{page_name}__mask"
                 )
         store._ei[rows] = catalog.array("ei")
-        return store
-
-    @classmethod
-    def _load_from_tables(cls, catalog: Any) -> "ColumnarSumStore":
-        """Copy-wise load from the per-family ``.npz`` tables (legacy dirs)."""
-        users = catalog.get("users")
-        ids = [int(uid) for uid in users.column("user_id")]
-        store = cls(initial_capacity=max(len(ids), 1))
-        rows = store.rows_for(ids, create=True)
-        for row, objective, asked, answered in zip(
-            rows,
-            users.column("objective"),
-            users.column("asked_questions"),
-            users.column("answered_questions"),
-        ):
-            store._objective[row] = json.loads(objective)
-            store._asked[row] = set(json.loads(asked))
-            store._answered[row] = set(json.loads(answered))
-
-        def check_alignment(table: Any) -> None:
-            # A data-integrity check, not a debug assert: misaligned
-            # pages would scatter every user's values into wrong rows.
-            if [int(u) for u in table.column("user_id")] != ids:
-                raise ValueError(
-                    f"table {table.name!r} user_id column does not match "
-                    "the users table; catalog directory is corrupt"
-                )
-
-        ei = catalog.get("ei")
-        check_alignment(ei)
-        for j, branch in enumerate(BRANCH_ORDER):
-            store._ei[rows, j] = np.asarray(ei.column(branch.value), dtype=np.float64)
-
-        for table_name, family in store._named_families():
-            table = catalog.get(table_name)
-            check_alignment(table)
-            for name in table.schema.names:
-                if name == "user_id" or name.endswith(cls._PRESENT_SUFFIX):
-                    continue
-                j = family.ensure_column(name)
-                family.values[rows, j] = table.column(name)
-                family.mask[rows, j] = np.asarray(
-                    table.column(name + cls._PRESENT_SUFFIX), dtype=bool
-                )
         return store

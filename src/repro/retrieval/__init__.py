@@ -17,8 +17,9 @@ Freshness mirrors the replica plane:
 :class:`~repro.retrieval.refresh.IndexRefresher` rebuilds off the
 :class:`~repro.streaming.cache.SumCache` version counters in the
 background and :meth:`~repro.retrieval.retriever.CandidateRetriever.
-swap` publishes the new index atomically under a seqlock-style epoch,
-so in-flight searches never observe a torn (index, generation) pair.
+swap` publishes the new index with one attribute store of an immutable
+(index, generation) tuple, so in-flight searches never observe a torn
+pair.
 """
 
 from repro.retrieval.embeddings import EmbeddingProvider, StaticEmbeddingProvider

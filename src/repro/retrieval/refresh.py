@@ -13,8 +13,8 @@ replaced by two cheap staleness probes:
 The expensive part (vector materialization + k-means + page layout)
 runs entirely before publication, with requests still serving the old
 index; publication itself is one
-:meth:`~repro.retrieval.retriever.CandidateRetriever.swap` under the
-retriever's epoch protocol, and generation stamps are monotonic.  Like
+:meth:`~repro.retrieval.retriever.CandidateRetriever.swap`, a single
+attribute store, and generation stamps are monotonic.  Like
 the replica refresher, it works synchronously (:meth:`poll`) for
 deterministic tests or as a daemon cadence (:meth:`start`).
 """
@@ -37,9 +37,8 @@ declare_lock("IndexRefresher._build_lock")
 class _Cadence(threading.Thread):
     """Run ``tick`` every ``interval`` seconds until stopped (daemon).
 
-    Local clone of the replica plane's cadence runner: this package
-    sits *below* :mod:`repro.serving.replica` in the import graph
-    (the service imports retrieval), so it cannot borrow that one.
+    Shared with :mod:`repro.serving.replica`, which sits above this
+    package in the import graph.
     """
 
     def __init__(
@@ -55,8 +54,9 @@ class _Cadence(threading.Thread):
             try:
                 self._tick()
             except Exception:
-                # a failed build must not kill the cadence; the old
-                # index keeps serving and the next tick retries
+                # A failed build, checkpoint or poll must not kill the
+                # cadence; the old state keeps serving and the next tick
+                # retries.
                 continue
 
     def stop(self, timeout: float | None = 5.0) -> None:

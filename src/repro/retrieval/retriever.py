@@ -3,18 +3,16 @@
 :class:`CandidateRetriever` owns the live :class:`~repro.retrieval.
 index.ClusteredANNIndex` and decides, per request, whether retrieval can
 serve the candidate set or the service must fall back to the exact full
-scan.  Its publication protocol mirrors the replica plane, shrunk to one
-object pair:
+scan.  It publishes its index the way the replica plane publishes SUM
+state, with one attribute store:
 
 * **writers** (:meth:`swap`, called by the
   :class:`~repro.retrieval.refresh.IndexRefresher` after a background
-  build) hold ``_swap_lock`` and bump the page epoch odd → store the new
-  ``(index, generation)`` → bump it even;
-* **readers** (:meth:`current`, on the request hot path) run lock-free:
-  read the epoch, copy the pair, re-read and retry on any mismatch —
-  the classic seqlock shape, machine-checked by the analyzer's
-  ``SQ001``/``SQ002`` rules via the declarations below.  A bounded spin
-  falls back to taking the writer lock, so a reader can never starve.
+  build) hold ``_swap_lock`` to check the generation and then bind the
+  new ``(index, generation)`` as one immutable tuple;
+* **readers** (:meth:`current`, on the request hot path) read that
+  attribute once, lock-free.  Rebinding an attribute is atomic under
+  CPython, so a reader sees the old pair or the new one, never a mix.
 
 Generations are monotonic (a swap can only install a larger stamp), so
 candidate sets served to one caller never go backwards in freshness —
@@ -34,13 +32,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
-from repro.analysis.contracts import (
-    declare_lock,
-    declare_seqlock,
-    guarded_by,
-    make_lock,
-    seqlock_reader,
-)
+from repro.analysis.contracts import declare_lock, guarded_by, make_lock
 from repro.obs.metrics import (
     SIZE_BUCKETS,
     MetricsRegistry,
@@ -54,15 +46,6 @@ from repro.serving.scorer import ItemId
 
 
 declare_lock("CandidateRetriever._swap_lock")
-declare_seqlock(
-    "CandidateRetriever.page_epoch",
-    protects=("_read_pair",),
-    writer_lock="CandidateRetriever._swap_lock",
-)
-
-#: bounded lock-free retries before a reader falls back to the writer
-#: lock (same starvation discipline as the streaming cache's captures)
-_EPOCH_SPIN_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -111,7 +94,7 @@ class RetrievalConfig:
             raise ValueError(f"ewma_alpha {self.ewma_alpha} outside (0, 1]")
 
 
-@guarded_by("_swap_lock", "_index", "_generation", "_epoch")
+@guarded_by("_swap_lock", "_published")
 class CandidateRetriever:
     """Candidate generation over an atomically swappable ANN index.
 
@@ -147,11 +130,8 @@ class CandidateRetriever:
         self.provider = provider
         self.config = config or RetrievalConfig()
         self._swap_lock = make_lock("CandidateRetriever._swap_lock")
-        #: seqlock epoch over the (index, generation) pair: odd while a
-        #: swap is in flight, even when the pair is consistent
-        self._epoch = 0
-        self._index: ClusteredANNIndex | None = None
-        self._generation = 0
+        #: the served ``(index, generation)``, rebound whole by :meth:`swap`
+        self._published: tuple[ClusteredANNIndex | None, int] = (None, 0)
         self._search_ewma = 0.0
         registry = resolve_registry(telemetry)
         self._m_requests = {
@@ -180,61 +160,34 @@ class CandidateRetriever:
         )
         registry.gauge(
             "serving.retrieval.generation",
-            fn=lambda: float(self._generation),
+            fn=lambda: float(self._published[1]),
         )
         if index is not None:
             self.swap(index)
 
     # -- publication protocol ---------------------------------------------
 
-    def _read_pair(self) -> tuple[ClusteredANNIndex | None, int]:
-        """The seqlock-protected primitive: one raw read of the pair.
-
-        Callers must either hold ``_swap_lock`` or run the
-        :meth:`current` retry loop — enforced statically (``SQ002``).
-        """
-        return self._index, self._generation
-
-    @seqlock_reader("CandidateRetriever.page_epoch")
     def current(self) -> tuple[ClusteredANNIndex | None, int]:
-        """Consistent ``(index, generation)`` snapshot, lock-free.
-
-        Retries while a swap is in flight (odd epoch, or the epoch moved
-        between the two reads); after :data:`_EPOCH_SPIN_LIMIT` failed
-        attempts it takes the writer lock instead — bounded work even
-        against a pathological swap storm.
-        """
-        for __ in range(_EPOCH_SPIN_LIMIT):
-            before = self._epoch
-            if before % 2 == 0:
-                pair = self._read_pair()
-                if self._epoch == before:
-                    return pair
-        with self._swap_lock:
-            return self._read_pair()
+        """Consistent ``(index, generation)`` snapshot, lock-free."""
+        return self._published
 
     def swap(self, index: ClusteredANNIndex, generation: int | None = None) -> int:
         """Atomically publish a new index; returns its generation stamp.
 
         Monotonic: an explicit ``generation`` lower than the current one
-        is rejected, and the default stamp is ``current + 1``.  The
-        epoch goes odd before the pair mutates and even after, so
-        lock-free readers can never observe a torn pair.
+        is rejected, and the default stamp is ``current + 1``.
         """
         with self._swap_lock:
+            current = self._published[1]
             if generation is None:
-                generation = self._generation + 1
-            elif generation <= self._generation:
+                generation = current + 1
+            elif generation <= current:
                 raise ValueError(
                     f"generation {generation} would move backwards "
-                    f"(currently {self._generation})"
+                    f"(currently {current})"
                 )
-            self._epoch += 1
-            self._index = index
-            self._generation = int(generation)
-            self._epoch += 1
-            stamped = self._generation
-        return stamped
+            self._published = (index, int(generation))
+        return int(generation)
 
     @property
     def generation(self) -> int:

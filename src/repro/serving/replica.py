@@ -43,36 +43,12 @@ from repro.core.sharded_store import (
     read_manifest,
 )
 from repro.obs.metrics import MetricsRegistry, NullRegistry, resolve_registry
+from repro.retrieval.refresh import _Cadence
 from repro.serving.service import RecommendationService
 
 
 declare_lock("Checkpointer._checkpoint_lock")
 declare_lock("ReplicaRefresher._poll_lock")
-
-
-class _Cadence(threading.Thread):
-    """Run ``tick`` every ``interval`` seconds until stopped (daemon)."""
-
-    def __init__(self, tick: Callable[[], object], interval: float, name: str) -> None:
-        super().__init__(name=name, daemon=True)
-        self._tick = tick
-        self._interval = float(interval)
-        self._stop_event = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - timing loop
-        while not self._stop_event.wait(self._interval):
-            try:
-                self._tick()
-            except Exception:
-                # A failed checkpoint/poll must not kill the cadence; the
-                # next tick retries (the manifest swap is atomic, so a
-                # half-written generation is never observable anyway).
-                continue
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        self._stop_event.set()
-        if self.is_alive():
-            self.join(timeout)
 
 
 class Checkpointer:

@@ -180,7 +180,8 @@ class RecommendationService:
 
         ``scorer`` may be anything :func:`~repro.serving.adapters.as_scorer`
         can coerce: a batch scorer, a pairwise ``.predict`` model, or a
-        legacy ``BaseScorer`` callable (resolved against ``sums``).
+        per-model ``(model, item) -> float`` callable (resolved against
+        ``sums``).
         """
         if not name or not isinstance(name, str):
             raise ValueError(f"scorer name must be a non-empty str, got {name!r}")
@@ -285,11 +286,6 @@ class RecommendationService:
             )
         if callable(bulk):
             bulk(list(user_ids))
-            return
-        if not hasattr(type(sums), "__contains__"):
-            # A bare resolver (e.g. the legacy shim's single-model
-            # indirection) cannot answer membership; scoring proceeds as
-            # before rather than iterating it by accident.
             return
         missing = [int(uid) for uid in user_ids if int(uid) not in sums]
         if missing:

@@ -250,13 +250,15 @@ class TestPersistence:
         assert loaded.dumps() == store.dumps()
 
     def test_catalog_pages_are_npz_columns(self, tmp_path):
+        # one layout: the users table is the only .npz, every family
+        # lives in the dense .npy pages
         __, store = paired_backends()
         store.save(tmp_path / "sums")
         names = {p.name for p in (tmp_path / "sums").iterdir()}
         assert "catalog.json" in names
-        for table in ("users", "emotional", "sensibility", "subjective",
-                      "evidence", "ei"):
-            assert f"{table}.npz" in names
+        assert {name for name in names if name.endswith(".npz")} == {
+            "users.npz"
+        }
 
     def test_json_to_catalog_to_json(self, tmp_path):
         # the paper's JSON format remains a full-fidelity import/export
@@ -275,9 +277,11 @@ class TestPersistence:
             assert f"{family}__values.npy" in names
             assert f"{family}__mask.npy" in names
 
-    def test_tables_only_directory_still_loads(self, tmp_path):
-        # dirs written before the dense pages existed: strip the pages
-        # and the manifest's arrays section, then load copy-wise
+    def test_directory_without_pages_raises(self, tmp_path):
+        # strip the dense pages and the manifest's arrays section: no
+        # second layout is left to load from
+        from repro.db.storage import StorageError
+
         __, store = paired_backends()
         directory = store.save(tmp_path / "sums")
         manifest_path = directory / "catalog.json"
@@ -286,12 +290,9 @@ class TestPersistence:
             (directory / filename).unlink()
         manifest.pop("meta", None)
         manifest_path.write_text(json.dumps(manifest))
-        loaded = ColumnarSumStore.load(directory)
-        assert loaded.dumps() == store.dumps()
-        from repro.db.storage import StorageError
-
-        with pytest.raises(StorageError, match="mmap"):
-            ColumnarSumStore.load(directory, mmap=True)
+        for mmap in (False, True):
+            with pytest.raises(StorageError, match="no dense column pages"):
+                ColumnarSumStore.load(directory, mmap=mmap)
 
 
 class TestMmapReplicas:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.emotions import EMOTION_NAMES
 from repro.core.reward import ReinforcementPolicy
+from repro.core.sharded_store import ShardedSumStore
 from repro.core.sum_model import SumRepository
 from repro.core.sum_store import ColumnarSumStore
 from repro.core.updates import (
@@ -94,8 +95,22 @@ def test_json_and_catalog_round_trips_preserve_state(tmp_path_factory, items, po
     assert ColumnarSumStore.loads(payload).dumps() == payload
     assert SumRepository.loads(payload).dumps() == payload
 
-    # columnar .npz pages through the repro.db Catalog
+    # dense column pages through the repro.db Catalog, copied and mapped
     directory = tmp_path_factory.mktemp("pages")
     store.save(directory)
     assert ColumnarSumStore.load(directory).dumps() == payload
+    assert ColumnarSumStore.load(directory, mmap=True).dumps() == payload
     assert json.loads(payload) == json.loads(ColumnarSumStore.load(directory).dumps())
+
+    # sharded checkpoints: a full save, the remaining ops, then a delta
+    # save that hardlinks every shard those ops left untouched
+    sharded = ShardedSumStore(n_shards=3)
+    half = len(items) // 2
+    apply_ops_batch(sharded, items[:half], policy)
+    root = tmp_path_factory.mktemp("checkpoints")
+    sharded.save(root)
+    apply_ops_batch(sharded, items[half:], policy)
+    sharded.save(root)
+    assert sharded.dumps() == payload
+    for mmap in (False, True):
+        assert ShardedSumStore.load(root, mmap=mmap).dumps() == payload
